@@ -20,69 +20,84 @@ let ty_name = function
   | Ty_file -> "file"
   | Ty_export -> "export-table"
 
-(* Walk one process's mapped memory and coalesce contiguous tainted bytes
-   into runs. *)
-let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
-  let mmu = faros.kernel.machine.mmu in
-  let shadow = faros.engine.shadow in
-  let asid = Faros_os.Process.asid p in
-  let runs = ref [] in
-  let flush start len types sample =
-    if len > 0 then
-      runs :=
+(* Coalesce contiguous tainted bytes of [ranges] (virtual, in [asid])
+   into regions.  Per mapped page: one translation, then the shadow
+   page's runs of equal ids ({!Faros_dift.Shadow.iter_page_runs}),
+   clipped to the range.  A run that starts (virtually) where the open
+   region ends extends it, whatever the physical frames; any other run
+   closes it, and so does the end of each range.  Types accumulate as
+   the interner's cached type masks, converted to a list once per
+   region; the sample is the provenance of the region's first byte.
+   Cost: O(mapped pages + tainted runs), independent of mapped bytes. *)
+let regions ~mmu ~asid ~shadow ~pid ~process ranges =
+  (* one translation per page: MMU frames and shadow pages coincide *)
+  let page_size = Faros_vm.Mmu.page_size in
+  assert (page_size = Faros_dift.Shadow.page_size);
+  let acc = ref [] in
+  let start = ref 0 and len = ref 0 and mask = ref 0 in
+  let sample = ref Faros_dift.Provenance.empty in
+  let flush () =
+    if !len > 0 then
+      acc :=
         {
-          rt_pid = p.pid;
-          rt_process = p.proc_name;
-          rt_vaddr = start;
-          rt_len = len;
-          rt_types = List.sort_uniq compare types;
-          rt_sample = sample;
+          rt_pid = pid;
+          rt_process = process;
+          rt_vaddr = !start;
+          rt_len = !len;
+          rt_types = Faros_dift.Prov_intern.types_of_mask !mask;
+          rt_sample = !sample;
         }
-        :: !runs
+        :: !acc;
+    len := 0
   in
   List.iter
     (fun (vaddr, size) ->
-      let start = ref 0 and len = ref 0 in
-      let types = ref [] and sample = ref Faros_dift.Provenance.empty in
-      for i = 0 to size - 1 do
-        let paddr = Faros_vm.Mmu.translate mmu ~asid (vaddr + i) in
-        let prov = Faros_dift.Shadow.get_mem shadow paddr in
-        if Faros_dift.Provenance.is_empty prov then begin
-          flush !start !len !types !sample;
-          len := 0;
-          types := [];
-          sample := Faros_dift.Provenance.empty
-        end
-        else begin
-          if !len = 0 then begin
-            start := vaddr + i;
-            sample := prov
-          end;
-          incr len;
-          types := Faros_dift.Provenance.distinct_types prov @ !types
-        end
+      let stop = vaddr + size in
+      let page = ref (vaddr land lnot (page_size - 1)) in
+      while !page < stop do
+        let va = !page in
+        (* the part of this page inside the range *)
+        let lo = max vaddr va and hi = min stop (va + page_size) in
+        let paddr = Faros_vm.Mmu.translate mmu ~asid va in
+        Faros_dift.Shadow.iter_page_runs shadow paddr (fun off n prov ->
+            let a = max lo (va + off) and b = min hi (va + off + n) in
+            if a < b then begin
+              if !len = 0 || !start + !len <> a then begin
+                flush ();
+                start := a;
+                mask := 0;
+                sample := prov
+              end;
+              len := !len + (b - a);
+              mask := !mask lor Faros_dift.Prov_intern.type_mask prov
+            end);
+        page := va + page_size
       done;
-      flush !start !len !types !sample)
+      flush ())
+    ranges;
+  List.rev !acc
+
+let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
+  regions ~mmu:faros.kernel.machine.mmu ~asid:(Faros_os.Process.asid p)
+    ~shadow:faros.engine.shadow ~pid:p.pid ~process:p.proc_name
     (Faros_vm.Mmu.mapped_ranges p.space
-    |> List.filter (fun (vaddr, _) -> vaddr < Faros_os.Export_table.kernel_base));
-  List.rev !runs
+    |> List.filter (fun (vaddr, _) -> vaddr < Faros_os.Export_table.kernel_base))
 
 let tainted_regions (faros : Faros_plugin.t) =
   List.concat_map (regions_of_process faros) (Faros_os.Kstate.processes faros.kernel)
 
-(* Per process: (name, tainted bytes, bytes carrying netflow taint). *)
+let taint_totals regions =
+  List.fold_left
+    (fun (total, netflow) r ->
+      ( total + r.rt_len,
+        if List.mem Faros_dift.Tag.Ty_netflow r.rt_types then netflow + r.rt_len
+        else netflow ))
+    (0, 0) regions
+
 let summary_by_process (faros : Faros_plugin.t) =
   List.map
     (fun (p : Faros_os.Process.t) ->
-      let regions = regions_of_process faros p in
-      let total = List.fold_left (fun acc r -> acc + r.rt_len) 0 regions in
-      let netflow =
-        List.fold_left
-          (fun acc r ->
-            if List.mem Faros_dift.Tag.Ty_netflow r.rt_types then acc + r.rt_len
-            else acc)
-          0 regions
-      in
+      let total, netflow = taint_totals (regions_of_process faros p) in
       (p.proc_name, total, netflow))
     (Faros_os.Kstate.processes faros.kernel)
 

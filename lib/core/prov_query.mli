@@ -15,14 +15,41 @@ type region_taint = {
 
 val ty_name : Faros_dift.Tag.ty -> string
 
+val regions :
+  mmu:Faros_vm.Mmu.t ->
+  asid:int ->
+  shadow:Faros_dift.Shadow.t ->
+  pid:Faros_os.Types.pid ->
+  process:string ->
+  (int * int) list ->
+  region_taint list
+(** [regions ~mmu ~asid ~shadow ~pid ~process ranges]: the contiguous
+    tainted runs of the virtual [(vaddr, length)] ranges of address space
+    [asid], in ascending address order.  A region is a maximal run of
+    bytes with non-empty provenance that are contiguous {e virtually} —
+    it may cross into a non-adjacent physical frame — and never extends
+    past the end of its range.  Every page the ranges touch must be
+    mapped ({!Faros_vm.Mmu.Page_fault} otherwise).
+
+    Cost: one translation and one {!Faros_dift.Shadow.iter_page_runs}
+    per page, plus O(1) per run of equal provenance: O(mapped pages +
+    tainted runs), not O(mapped bytes).  Types accumulate as the
+    interner's cached type masks and become a list once per region. *)
+
 val regions_of_process :
   Faros_plugin.t -> Faros_os.Process.t -> region_taint list
-(** Contiguous tainted runs in one process's user-space mappings. *)
+(** {!regions} over one process's user-space mappings (the mapped ranges
+    below the kernel region). *)
 
 val tainted_regions : Faros_plugin.t -> region_taint list
 
+val taint_totals : region_taint list -> int * int
+(** [(tainted bytes, bytes in regions carrying netflow taint)] — the
+    per-process summary both {!summary_by_process} and the attack graph's
+    enrichment report. *)
+
 val summary_by_process : Faros_plugin.t -> (string * int * int) list
-(** Per process: (name, tainted bytes, bytes carrying netflow taint). *)
+(** Per process: (name, {!taint_totals} of its {!regions_of_process}). *)
 
 (** A printable run found inside netflow-tainted memory. *)
 type tainted_string = {

@@ -167,10 +167,14 @@ let mem tag p =
 
 let has_type ty p = p.mask land ty_bit ty <> 0
 
-let distinct_types p =
+let type_mask p = p.mask
+
+let types_of_mask m =
   List.filter
-    (fun ty -> has_type ty p)
+    (fun ty -> m land ty_bit ty <> 0)
     [ Tag.Ty_netflow; Tag.Ty_process; Tag.Ty_file; Tag.Ty_export ]
+
+let distinct_types p = types_of_mask p.mask
 
 let confluence p =
   let m = p.mask in

@@ -107,6 +107,15 @@ val has_type : Tag.ty -> t -> bool
 val distinct_types : t -> Tag.ty list
 (** Tag types present, in [Tag.ty] declaration order. *)
 
+val type_mask : t -> int
+(** The cached bitmask of tag types present (one bit per [Tag.ty]).  The
+    mask of a union of lists is the [lor] of their masks, so a walk over
+    many lists can accumulate types without building any list. *)
+
+val types_of_mask : int -> Tag.ty list
+(** The types whose bits are set, in [Tag.ty] declaration order:
+    [distinct_types p = types_of_mask (type_mask p)]. *)
+
 val confluence : t -> int
 (** Number of distinct tag types present (popcount of the cached mask). *)
 

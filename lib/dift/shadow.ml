@@ -231,6 +231,30 @@ let range_tainted t paddr width =
   done;
   !found
 
+(* The maximal runs of equal non-empty ids on one page, for offline
+   walks: one directory probe, then a scan of the page's int array that
+   resolves an id only where a run starts, and stops as soon as all
+   [live] bytes have been reported. *)
+let iter_page_runs t paddr f =
+  match Hashtbl.find_opt t.mem_dir (paddr lsr page_shift) with
+  | None -> ()
+  | Some page ->
+    let data = page.data in
+    let left = ref page.live and i = ref 0 in
+    while !left > 0 do
+      let id = data.(!i) in
+      if id = 0 then incr i
+      else begin
+        let j = ref (!i + 1) in
+        while !j < page_size && data.(!j) = id do
+          incr j
+        done;
+        f !i (!j - !i) (Prov_intern.resolve t.interner id);
+        left := !left - (!j - !i);
+        i := !j
+      end
+    done
+
 let iter_mem t f =
   Hashtbl.iter
     (fun pno page ->

@@ -87,6 +87,21 @@ val bump_generation : t -> unit
     a control-dependency window opens — taint state the shadow tables do
     not see). *)
 
+val iter_page_runs : t -> int -> (int -> int -> Provenance.t -> unit) -> unit
+(** [iter_page_runs t paddr f] calls [f off len prov] once per maximal run
+    of bytes with the same non-empty provenance on the 4 KiB shadow page
+    containing [paddr], in ascending offset order: [off] is the run's
+    offset within the page and [prov] the provenance of all [len] bytes.
+    Two reported runs are either separated by untainted bytes or carry
+    different provenance.
+
+    Cost: one directory probe, plus — on a page with taint — a scan of
+    the page's id array up to its last tainted byte, resolving one id per
+    run.  A never-materialized page, or one whose taint was cleared back
+    to zero live bytes, costs the probe alone.  This is what makes the
+    offline walks of [Core.Prov_query] O(mapped pages + tainted runs)
+    instead of O(mapped bytes).  [f] must not mutate [t]. *)
+
 val iter_mem : t -> (int -> Provenance.t -> unit) -> unit
 
 val clear : t -> unit

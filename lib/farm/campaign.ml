@@ -61,7 +61,6 @@ type job_result = {
   jr_netflow_origin : bool;  (* some slice reached a NetFlow origin *)
   jr_wall_s : float;
   jr_worker : int;  (* pool worker index that ran the job; -1 if unknown *)
-  jr_metrics : Faros_obs.Metrics.t;  (* this job's private registry *)
   jr_profile : Faros_obs.Profile.t;  (* this job's span tree (or disabled) *)
   jr_trace : Faros_obs.Trace.event list;  (* this job's trace events *)
   jr_segments : string list;  (* graph segment JSONL rows (graph_segments
@@ -177,36 +176,38 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
     Option.value tick_budget ~default:s.scenario.Faros_corpus.Scenario.max_ticks
   in
   let t0 = Unix.gettimeofday () in
+  (* The registry travels beside the result, not in it: the driver merges
+     it on arrival and drops it. *)
   let finish verdict ~diverged ~record_ticks ~replay_ticks ~syscalls
       ~tainted_bytes ~interned ~gs ~segments =
-    {
-      jr_id = s.id;
-      jr_family = s.family;
-      jr_category = Fmt.str "%a" Faros_corpus.Registry.pp_category s.category;
-      jr_expected_flag = expected_flag;
-      jr_verdict = verdict;
-      jr_diverged = diverged;
-      jr_mismatch = mismatch ~expected_flag ~diverged verdict;
-      jr_record_ticks = record_ticks;
-      jr_replay_ticks = replay_ticks;
-      jr_tick_budget = budget;
-      jr_budget_exhausted = record_ticks >= budget || replay_ticks >= budget;
-      jr_syscalls = syscalls;
-      jr_tainted_bytes = tainted_bytes;
-      jr_interned_provs = interned;
-      jr_graph_nodes = gs.gs_nodes;
-      jr_graph_edges = gs.gs_edges;
-      jr_flag_sites = gs.gs_flag_sites;
-      jr_slice_nodes = gs.gs_slice_nodes;
-      jr_slice_origins = gs.gs_slice_origins;
-      jr_netflow_origin = gs.gs_netflow_origin;
-      jr_wall_s = Unix.gettimeofday () -. t0;
-      jr_worker = worker;
-      jr_metrics = metrics;
-      jr_profile = prof;
-      jr_trace = Faros_obs.Trace.events trace_sink;
-      jr_segments = segments;
-    }
+    ( {
+        jr_id = s.id;
+        jr_family = s.family;
+        jr_category = Fmt.str "%a" Faros_corpus.Registry.pp_category s.category;
+        jr_expected_flag = expected_flag;
+        jr_verdict = verdict;
+        jr_diverged = diverged;
+        jr_mismatch = mismatch ~expected_flag ~diverged verdict;
+        jr_record_ticks = record_ticks;
+        jr_replay_ticks = replay_ticks;
+        jr_tick_budget = budget;
+        jr_budget_exhausted = record_ticks >= budget || replay_ticks >= budget;
+        jr_syscalls = syscalls;
+        jr_tainted_bytes = tainted_bytes;
+        jr_interned_provs = interned;
+        jr_graph_nodes = gs.gs_nodes;
+        jr_graph_edges = gs.gs_edges;
+        jr_flag_sites = gs.gs_flag_sites;
+        jr_slice_nodes = gs.gs_slice_nodes;
+        jr_slice_origins = gs.gs_slice_origins;
+        jr_netflow_origin = gs.gs_netflow_origin;
+        jr_wall_s = Unix.gettimeofday () -. t0;
+        jr_worker = worker;
+        jr_profile = prof;
+        jr_trace = Faros_obs.Trace.events trace_sink;
+        jr_segments = segments;
+      },
+      metrics )
   in
   let failed verdict =
     finish verdict ~diverged:false ~record_ticks:0 ~replay_ticks:0 ~syscalls:0
@@ -368,6 +369,10 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
      the job closures capture can be shared across workers without any
      synchronization.  Per-job setup is then tag-store instancing only. *)
   Faros_corpus.Snapshot.freeze ();
+  let cam_profile =
+    if profile then Faros_obs.Profile.create () else Faros_obs.Profile.disabled
+  in
+  let metrics = Faros_obs.Metrics.create () in
   let pool = Pool.create ~workers () in
   let results =
     Fun.protect
@@ -386,7 +391,16 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
           (fun (s : Faros_corpus.Registry.sample) p ->
             let r =
               match Pool.await p with
-              | Ok r -> r
+              | Ok (r, job_metrics) ->
+                (* Merge on arrival, in submission order (merging is a sum,
+                   so the result equals merging at the end), and let the
+                   job's registry go: a campaign holds one registry, not
+                   one per sample.  Merging is itself accounted work: the
+                   one driver-side span. *)
+                Faros_obs.Profile.with_span cam_profile "farm.merge" (fun () ->
+                    Faros_obs.Metrics.merge ~into:metrics job_metrics;
+                    Faros_obs.Profile.merge ~into:cam_profile r.jr_profile);
+                r
               | Error e ->
                 (* run_job contains its own exception barrier, so this only
                    fires on failures outside it; record, don't abort. *)
@@ -417,7 +431,6 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
                   jr_netflow_origin = false;
                   jr_wall_s = 0.0;
                   jr_worker = -1;
-                  jr_metrics = Faros_obs.Metrics.create ();
                   jr_profile = Faros_obs.Profile.disabled;
                   jr_trace = [];
                   jr_segments = [];
@@ -432,17 +445,6 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
   let spawned = Pool.spawned pool in
   let peak_depth = Pool.peak_depth pool in
   let worker_stats = Pool.worker_stats pool in
-  let cam_profile =
-    if profile then Faros_obs.Profile.create () else Faros_obs.Profile.disabled
-  in
-  let metrics = Faros_obs.Metrics.create () in
-  (* Merging is itself accounted work: the one driver-side span. *)
-  Faros_obs.Profile.with_span cam_profile "farm.merge" (fun () ->
-      List.iter
-        (fun r ->
-          Faros_obs.Metrics.merge ~into:metrics r.jr_metrics;
-          Faros_obs.Profile.merge ~into:cam_profile r.jr_profile)
-        results);
   if farm_metrics then
     publish_farm_metrics ~workers ~spawned ~peak_depth ~worker_stats ~results
       metrics;

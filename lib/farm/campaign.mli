@@ -68,7 +68,6 @@ type job_result = {
   jr_worker : int;
       (** pool worker index that ran the job; [-1] if unknown (a failure
           outside the job's own exception barrier) *)
-  jr_metrics : Faros_obs.Metrics.t;  (** this job's private registry *)
   jr_profile : Faros_obs.Profile.t;
       (** this job's span tree; {!Faros_obs.Profile.disabled} unless the
           campaign ran with [profile:true] *)
@@ -90,7 +89,10 @@ type t = {
   peak_depth : int;  (** deepest the job queue has been *)
   worker_stats : Pool.worker_stat list;  (** per-worker, index order *)
   wall_s : float;
-  metrics : Faros_obs.Metrics.t;  (** all job registries merged *)
+  metrics : Faros_obs.Metrics.t;
+      (** all job registries merged.  Each job's registry is merged as its
+          result is awaited, in submission order, and then dropped: a
+          campaign holds one registry, not one per sample. *)
   profile : Faros_obs.Profile.t;
       (** all job profiles merged, plus the driver's [farm.merge] span;
           {!Faros_obs.Profile.disabled} unless run with [profile:true] *)

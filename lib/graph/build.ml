@@ -527,16 +527,7 @@ let enrich_walk t (faros : Core.Faros_plugin.t) =
     (fun (p : Faros_os.Process.t) ->
       let regions = Core.Prov_query.regions_of_process faros p in
       let pn = proc_ord t p.pid in
-      let tainted =
-        List.fold_left (fun acc (r : Core.Prov_query.region_taint) -> acc + r.rt_len) 0 regions
-      in
-      let netflow =
-        List.fold_left
-          (fun acc (r : Core.Prov_query.region_taint) ->
-            if List.mem Faros_dift.Tag.Ty_netflow r.rt_types then acc + r.rt_len
-            else acc)
-          0 regions
-      in
+      let tainted, netflow = Core.Prov_query.taint_totals regions in
       emit t (Delta.D_taint { ord = pn; tainted; netflow });
       List.iter
         (fun (r : Core.Prov_query.region_taint) ->

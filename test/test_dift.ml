@@ -411,10 +411,90 @@ let page_counter_exact =
       done;
       !ok)
 
+(* The runs [Shadow.iter_page_runs] reports on the page at [base], and
+   the same runs rebuilt from per-byte [get_mem]: maximal stretches of one
+   non-empty provenance, in offset order. *)
+let page_runs s base =
+  let acc = ref [] in
+  Shadow.iter_page_runs s base (fun off len prov -> acc := (off, len, prov) :: !acc);
+  List.rev !acc
+
+let page_runs_brute s base =
+  let acc = ref [] in
+  for off = Shadow.page_size - 1 downto 0 do
+    let p = Shadow.get_mem s (base + off) in
+    if not (Provenance.is_empty p) then
+      match !acc with
+      | (o, n, q) :: rest when o = off + 1 && Provenance.equal p q ->
+        acc := (off, n + 1, q) :: rest
+      | runs -> acc := (off, 1, p) :: runs
+  done;
+  !acc
+
+let same_runs a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (o, n, p) (o', n', p') -> o = o' && n = n' && Provenance.equal p p')
+       a b
+
+let page_run_tests =
+  [
+    Alcotest.test_case "page runs: edges, neighbours, cleared and absent pages"
+      `Quick (fun () ->
+        let s = Shadow.create () in
+        let a = pl [ Tag.Netflow 0 ] and b = pl [ Tag.File 1 ] in
+        let last = Shadow.page_size - 1 in
+        Shadow.set_mem_range s 0 3 a;  (* run at offset 0 *)
+        Shadow.set_mem_range s 3 2 b;  (* adjacent, different provenance *)
+        Shadow.set_mem s 9 a;
+        Shadow.set_mem s last b;  (* run at offset 4095 *)
+        let runs = page_runs s 0 in
+        check_b "matches get_mem" true (same_runs runs (page_runs_brute s 0));
+        Alcotest.(check (list (pair int int)))
+          "offsets and lengths"
+          [ (0, 3); (3, 2); (9, 1); (last, 1) ]
+          (List.map (fun (o, n, _) -> (o, n)) runs);
+        check_b "any byte of the page names it" true
+          (same_runs runs (page_runs s last));
+        (* a page whose taint was cleared is materialized with live = 0 *)
+        let p2 = 2 * Shadow.page_size in
+        Shadow.set_mem_range s p2 100 a;
+        Shadow.set_mem_range s p2 100 Provenance.empty;
+        check "cleared page stays materialized" 2 (Shadow.pages s);
+        check "cleared page reports no run" 0 (List.length (page_runs s p2));
+        check "absent page reports no run" 0
+          (List.length (page_runs s Shadow.page_size)));
+  ]
+
+let page_runs_match_get_mem =
+  QCheck.Test.make ~count:100 ~name:"iter_page_runs matches per-byte get_mem"
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_range 1 30)
+           (triple
+              (int_range 0 ((3 * 4096) - 65))
+              (int_range 1 64)
+              (option
+                 (list_size (int_range 1 2)
+                    (oneofl [ Tag.Netflow 0; Tag.File 1; Tag.Process 2 ]))))))
+    (fun writes ->
+      let s = Shadow.create () in
+      List.iter
+        (fun (base, width, tags) ->
+          Shadow.set_mem_range s base width
+            (match tags with None -> Provenance.empty | Some ts -> pl ts))
+        writes;
+      List.for_all
+        (fun pno ->
+          let base = pno * Shadow.page_size in
+          same_runs (page_runs s base) (page_runs_brute s base))
+        [ 0; 1; 2; 3 ])
+
 let shadow_prop_tests =
   [
     QCheck_alcotest.to_alcotest shadow_range_roundtrip;
     QCheck_alcotest.to_alcotest page_counter_exact;
+    QCheck_alcotest.to_alcotest page_runs_match_get_mem;
   ]
 
 (* -- engine ------------------------------------------------------------------ *)
@@ -1212,6 +1292,7 @@ let () =
       ("tag-store", store_tests);
       ("provenance", prov_tests);
       ("shadow", shadow_tests);
+      ("shadow-page-runs", page_run_tests);
       ("shadow-properties", shadow_prop_tests);
       ("engine", engine_tests);
       ("engine-more", more_engine_tests);
